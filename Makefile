@@ -32,19 +32,20 @@ lint-json:
 race:
 	$(GO) test -race ./...
 
-# bench produces THIS PR's tracked baseline, BENCH_9.json: the engine
+# bench produces the newest tracked baseline, BENCH_12.json: the engine
 # micro-benchmarks at a statistically useful -benchtime plus the
-# figure-scale, large-scale-streaming and simlint benchmarks at one
-# iteration each, all merged into one "after" section. The raw lines
-# inside the JSON stay benchstat-compatible. Earlier baselines
-# (BENCH_4/6/7/8/9.json) are append-only history — the perf trajectory
-# the ROADMAP tracks — and must never be rewritten by later runs; a
-# future PR that moves tracked performance writes a new BENCH_<pr>.json.
+# figure-scale, large-scale (streamed and 2-shard, with -benchmem) and
+# simlint benchmarks at one iteration each, all merged into one
+# "after" section. The raw lines inside the JSON stay
+# benchstat-compatible. Earlier baselines (BENCH_4/6/7/8/9/10.json)
+# are append-only history — the perf trajectory the ROADMAP tracks —
+# and must never be rewritten by later runs; a future PR that moves
+# tracked performance writes a new BENCH_<pr>.json.
 bench:
 	( $(GO) test -bench 'BenchmarkEventQueue|BenchmarkPortTransit' -benchtime 2s -run '^$$' . \
-	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream' -benchtime 1x -timeout 30m -run '^$$' . \
+	  && $(GO) test -bench 'BenchmarkFig8ShortFlows|BenchmarkFig10WebSearch|BenchmarkFig13VaryShort|BenchmarkLargeScaleStream|BenchmarkLargeScaleSharded' -benchtime 1x -benchmem -timeout 30m -run '^$$' . \
 	  && $(GO) test -bench 'BenchmarkSimlint' -benchtime 1x -run '^$$' ./internal/lint ) \
-	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_10.json -section after -require 'events/sec,flows/sec,peakRSS-MB'
+	| tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_12.json -section after -require 'events/sec,flows/sec,peakRSS-MB'
 
 # bench-all runs every benchmark in every package once, without
 # touching any baseline — a quick "do they all still run" check.

@@ -5,11 +5,19 @@
 package tlb_test
 
 import (
+	"encoding/json"
+	"runtime"
 	"testing"
 
 	"tlb/internal/eventsim"
 	"tlb/internal/netem"
+	"tlb/internal/sim"
+	"tlb/internal/spec"
+	"tlb/internal/topology"
 	"tlb/internal/units"
+
+	// The sharded-run gate's spec names a registered scheme.
+	_ "tlb/internal/core"
 )
 
 // TestAllocGateEventScheduleCancel: a steady-state At+Cancel cycle —
@@ -163,5 +171,90 @@ func TestAllocGatePortTransitPipelined(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
 		t.Fatalf("steady-state 64-deep transit burst allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestAllocGateHandoffHeap: the sharded runner's barrier exchange —
+// push each window's emitted handoffs into the destination's pending
+// heap, pop the due ones into a reused buffer — must not allocate once
+// the heap and buffer have grown to the in-flight peak.
+func TestAllocGateHandoffHeap(t *testing.T) {
+	var (
+		h   topology.HandoffHeap
+		due []topology.Handoff
+		now units.Time
+	)
+	x := topology.Handoff{Pkt: netem.Packet{Kind: netem.Data, Payload: 1460, Wire: 1500}}
+	window := func() {
+		// 24 handoffs spread over the next three windows, out of order
+		// and with delivery-time ties, then the due ones of this window.
+		for i := 0; i < 24; i++ {
+			x.DeliverAt = now + 1 + units.Time(i*7%30)
+			x.AdmittedAt = now - units.Time(i%3)
+			x.SrcPort = uint32(i % 5)
+			h.Push(&x)
+		}
+		now += 10
+		due = h.PopDue(due[:0], now)
+	}
+	for i := 0; i < 256; i++ {
+		window()
+	}
+	if allocs := testing.AllocsPerRun(2000, window); allocs != 0 {
+		t.Fatalf("steady-state handoff push/PopDue allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// shardGateSpec is a small inter-pod fat-tree run: mice under
+// streamed stats, so beyond construction nearly all of a sharded
+// run's extra allocation would be the barrier exchange's.
+const shardGateSpec = `{
+  "version": 1, "name": "alloc-gate-shards", "seed": 7,
+  "scheme": {"name": "ecmp"},
+  "topology": {"kind": "fattree", "k": 8,
+    "hostLink": {"bandwidth": "1Gbps", "delay": "5us"},
+    "fabricLink": {"bandwidth": "1Gbps", "delay": "10us"},
+    "queue": {"capacity": 256, "ecnThreshold": 65}},
+  "workload": {"kind": "interpod", "interPod": {"flows": 4000,
+    "sizes": {"kind": "uniform", "min": "2KB", "max": "32KB"},
+    "maxGap": "1200ns"}},
+  "run": {"maxTime": "1s", "stopWhenDone": true},
+  "outputs": {"streamStats": true}
+}`
+
+// TestAllocGateShardedExchange: a 2-shard run may allocate at most
+// twice what the same scenario allocates on one engine. Each shard
+// builds its own network copy, so some excess is inherent; a barrier
+// exchange that re-allocates its pending handoffs every window blows
+// far past the bound (about 75x on this scenario).
+func TestAllocGateShardedExchange(t *testing.T) {
+	var sp spec.Spec
+	if err := json.Unmarshal([]byte(shardGateSpec), &sp); err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int) uint64 {
+		sc, err := sp.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Shards = shards
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := sim.Run(sc)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.CompletedCount(sim.AllFlows); got != 4000 {
+			t.Fatalf("shards=%d: %d flows completed, want 4000", shards, got)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	single := run(1)
+	sharded := run(2)
+	ratio := float64(sharded) / float64(single)
+	t.Logf("TotalAlloc: one engine %.1f MB, 2 shards %.1f MB (%.2fx)", float64(single)/1e6, float64(sharded)/1e6, ratio)
+	if ratio > 2 {
+		t.Fatalf("2-shard run allocates %.2fx the one-engine run (%d vs %d bytes), want at most 2x", ratio, sharded, single)
 	}
 }

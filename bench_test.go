@@ -413,9 +413,21 @@ func BenchmarkExtendedBaselines(b *testing.B) {
 // throughput and the process's peak RSS (which must stay flow-count
 // independent; EXPERIMENTS.md "Large scale" records the full-scale
 // measurements).
-func BenchmarkLargeScaleStream(b *testing.B) {
+func BenchmarkLargeScaleStream(b *testing.B) { benchLargeScale(b, 0) }
+
+// BenchmarkLargeScaleSharded is the same scenario spatially sharded
+// across 2 engines: the sharded runner's epoch-barrier exchange on the
+// scenario the ROADMAP's sharding kill criterion names. With -benchmem
+// its B/op is the exchange's allocation, which the steady state keeps
+// near the one-engine run's. peakRSS-MB is the bench process's peak,
+// so it also covers whichever benchmarks ran before it.
+func BenchmarkLargeScaleSharded(b *testing.B) { benchLargeScale(b, 2) }
+
+func benchLargeScale(b *testing.B, shards int) {
+	b.ReportAllocs()
 	figs := runFig(b, func(o experiments.Options) ([]experiments.Figure, error) {
 		o.FlowsPerRun = 8 // x1250 = 10k flows
+		o.Shards = shards
 		return experiments.FigLS(o)
 	})
 	for _, f := range figs {

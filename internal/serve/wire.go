@@ -33,21 +33,23 @@ type wireUplink struct {
 
 // wireEvent is one SSE payload: a snapshot or a per-scenario terminal.
 type wireEvent struct {
-	Run          string      `json:"run"`
-	Kind         string      `json:"kind"`
-	Index        int         `json:"index"`
-	Total        int         `json:"total"`
-	Completed    int         `json:"completed,omitempty"`
-	Scenario     string      `json:"scenario"`
-	Scheme       string      `json:"scheme,omitempty"`
-	ElapsedMs    float64     `json:"elapsedMs"`
-	SimTimeMs    float64     `json:"simTimeMs"`
-	Events       uint64      `json:"events"`
-	EventsPerSec float64     `json:"eventsPerSec"`
-	FlowsStarted int64       `json:"flowsStarted"`
-	FlowsDone    int64       `json:"flowsDone"`
-	Error        string      `json:"error,omitempty"`
-	Classes      []wireClass `json:"classes,omitempty"`
+	Run          string       `json:"run"`
+	Kind         string       `json:"kind"`
+	Index        int          `json:"index"`
+	Total        int          `json:"total"`
+	Completed    int          `json:"completed,omitempty"`
+	Scenario     string       `json:"scenario"`
+	Scheme       string       `json:"scheme,omitempty"`
+	ElapsedMs    float64      `json:"elapsedMs"`
+	SimTimeMs    float64      `json:"simTimeMs"`
+	Events       uint64       `json:"events"`
+	EventsPerSec float64      `json:"eventsPerSec"`
+	FlowsStarted int64        `json:"flowsStarted"`
+	FlowsDone    int64        `json:"flowsDone"`
+	Epochs       uint64       `json:"epochs,omitempty"`
+	Handoffs     uint64       `json:"handoffs,omitempty"`
+	Error        string       `json:"error,omitempty"`
+	Classes      []wireClass  `json:"classes,omitempty"`
 	Uplinks      []wireUplink `json:"uplinks,omitempty"`
 }
 
@@ -89,6 +91,8 @@ func encodeEvent(runID string, ev sim.ProgressEvent) wireEvent {
 		EventsPerSec: ev.EventsPerSec,
 		FlowsStarted: ev.FlowsStarted,
 		FlowsDone:    ev.FlowsDone,
+		Epochs:       ev.Epochs,
+		Handoffs:     ev.Handoffs,
 	}
 	if ev.Err != nil {
 		w.Error = ev.Err.Error()

@@ -76,6 +76,13 @@ type ProgressEvent struct {
 	FlowsStarted int64
 	FlowsDone    int64
 
+	// Epochs counts the sharded runner's barrier windows so far (every
+	// shard runs each one); Handoffs the boundary-crossing packets all
+	// shards exchanged at those barriers. Both are 0 on a one-engine
+	// run.
+	Epochs   uint64
+	Handoffs uint64
+
 	// Classes holds per-class aggregates over the flows completed so
 	// far (final aggregates on Done): an exact Merge-able clone, so
 	// observers can reduce across sessions. Nil when the session has

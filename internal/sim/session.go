@@ -79,6 +79,8 @@ type Session struct {
 	flowsStarted int64
 	flowsDone    int64
 	events       uint64
+	epochs       uint64
+	handoffs     uint64
 
 	// Event-rate bookkeeping for EventsPerSec.
 	lastEvents uint64
@@ -212,6 +214,8 @@ func (ss *Session) baseEvent(kind ProgressKind) ProgressEvent {
 		Elapsed:      ss.clock() - ss.start,
 		FlowsStarted: ss.flowsStarted,
 		FlowsDone:    ss.flowsDone,
+		Epochs:       ss.epochs,
+		Handoffs:     ss.handoffs,
 	}
 }
 

@@ -168,6 +168,21 @@ func TestSessionObserverNeutral(t *testing.T) {
 		if !reflect.DeepEqual(plain, observed) {
 			t.Fatalf("shards=%d: observed Result differs from plain Result", shards)
 		}
+		// The barrier counters: present on every sharded event from the
+		// first barrier on, absent on a one-engine run.
+		done := rec.events[len(rec.events)-1]
+		if sharded := shards > 1; sharded != (done.Epochs > 0) || sharded != (done.Handoffs > 0) {
+			t.Fatalf("shards=%d: Done epochs=%d handoffs=%d", shards, done.Epochs, done.Handoffs)
+		}
+		for i, ev := range rec.events[:len(rec.events)-1] {
+			if sharded := shards > 1; sharded != (ev.Epochs > 0) {
+				t.Fatalf("shards=%d: snapshot %d epochs=%d", shards, i, ev.Epochs)
+			}
+			if ev.Epochs > done.Epochs || ev.Handoffs > done.Handoffs {
+				t.Fatalf("shards=%d: snapshot %d counters %d/%d exceed Done's %d/%d",
+					shards, i, ev.Epochs, ev.Handoffs, done.Epochs, done.Handoffs)
+			}
+		}
 	}
 }
 

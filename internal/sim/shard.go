@@ -26,10 +26,10 @@
 // port index), a pure function of traffic and topology, so two events
 // colliding on one nanosecond order identically whether they met on
 // one global engine or arrived across a boundary (each epoch's
-// incoming handoffs are additionally sorted with topology.HandoffBefore
-// — the same (DeliverAt, AdmittedAt, SrcPort) order — before being
-// scheduled). Flow teardown obeys the same finite-latency rule as
-// packets: a sender's completion closes its receiver via a keyed event
+// incoming handoffs are additionally scheduled in
+// topology.HandoffBefore order — the same (DeliverAt, AdmittedAt,
+// SrcPort) order). Flow teardown obeys the same finite-latency rule
+// as packets: a sender's completion closes its receiver via a keyed event
 // at completion + lag (teardownLag, ≥ the window width), which a
 // cross-shard closeMsg delivered at the next barrier re-creates
 // exactly — an instantaneous close would be a zero-latency cross-shard
@@ -40,6 +40,25 @@
 // (replaySampleRecs, replayGoodput). Everything shards exchange is a
 // value — no mutable memory is shared between shard goroutines, and
 // packet pool ownership never crosses one (packetown stays clean).
+//
+// Barrier exchange: in steady state it allocates nothing. Each
+// destination shard's undelivered handoffs wait in a
+// topology.HandoffHeap; at every barrier the coordinator pops the due
+// ones, already in delivery order, into that shard's reused due
+// buffer. Shards reuse their outbound buffers, and each shard's close
+// messages alternate between two buffers. Ownership follows the
+// channel barrier:
+//   - The due and close buffers a work order carries, and the shard's
+//     own outHandoffs/outDones, belong to the shard from that work
+//     order until its shardEpochOut. The coordinator touches them only
+//     between receiving that report and sending the next work order.
+//   - runEpoch passes &due[j] itself to AtKey. Every due handoff has
+//     DeliverAt ≤ deadline, so its event fires inside the same
+//     RunUntil(deadline), before the coordinator refills the buffer.
+//     (A window that stops early on an error ends the run.)
+//
+// The race detector checks the rule in the -race tests and make
+// shard-smoke.
 //
 // Exactness: with MaxTime-bounded runs every counter, flow record,
 // sample and series bucket is reproduced. Known residual divergences
@@ -57,7 +76,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -110,14 +131,17 @@ type openRec struct {
 	last  units.Bytes // goodput sampler: BytesAcked at last tick
 }
 
-// shardEpochIn is one window's work order for a shard.
+// shardEpochIn is one window's work order for a shard. Both slices
+// are coordinator buffers lent to the shard until its shardEpochOut.
 type shardEpochIn struct {
 	deadline units.Time
-	handoffs []topology.Handoff // due this window, sorted by HandoffBefore
+	handoffs []topology.Handoff // due this window, in HandoffBefore order
 	closes   []closeMsg         // sorted by (at, idx)
 }
 
-// shardEpochOut is a shard's barrier report.
+// shardEpochOut is a shard's barrier report. Both slices are the
+// shard's own buffers, lent to the coordinator until the next work
+// order.
 type shardEpochOut struct {
 	handoffs  []topology.Handoff // emitted this window
 	dones     []closeMsg         // cross-shard completions this window
@@ -273,9 +297,13 @@ func runSharded(ss *Session) (*Result, error) {
 	}
 
 	// The epoch loop. pendingH/pendingC hold messages produced in past
-	// windows, not yet due / not yet delivered.
-	pendingH := make([][]topology.Handoff, n)
+	// windows, not yet due / not yet delivered; due and spareC are the
+	// buffers lent to each shard with its work order (see the
+	// ownership rule in the file comment).
+	pendingH := make([]topology.HandoffHeap, n)
+	due := make([][]topology.Handoff, n)
 	pendingC := make([][]closeMsg, n)
+	spareC := make([][]closeMsg, n)
 	maxT := sc.MaxTime
 	window := ss.window()
 	nextSnap := window
@@ -296,14 +324,13 @@ func runSharded(ss *Session) (*Result, error) {
 			deadline = maxT
 		}
 		for i := range shards {
-			due, rest := splitDue(pendingH[i], deadline)
-			pendingH[i] = rest
-			sortHandoffs(due)
+			due[i] = pendingH[i].PopDue(due[i][:0], deadline)
 			cs := pendingC[i]
-			pendingC[i] = nil
 			sortCloses(cs)
-			ins[i] <- shardEpochIn{deadline: deadline, handoffs: due, closes: cs}
+			pendingC[i], spareC[i] = spareC[i][:0], cs
+			ins[i] <- shardEpochIn{deadline: deadline, handoffs: due[i], closes: cs}
 		}
+		ss.epochs++
 		total := 0
 		allDrained := true
 		var last, next units.Time
@@ -313,9 +340,11 @@ func runSharded(ss *Session) (*Result, error) {
 			if o.err != nil && runErr == nil {
 				runErr = o.err
 			}
-			for _, h := range o.handoffs {
-				pendingH[h.DstShard] = append(pendingH[h.DstShard], h)
+			for j := range o.handoffs {
+				h := &o.handoffs[j]
+				pendingH[h.DstShard].Push(h)
 			}
+			ss.handoffs += uint64(len(o.handoffs))
 			for _, d := range o.dones {
 				pendingC[d.dstShard] = append(pendingC[d.dstShard], d)
 			}
@@ -383,10 +412,8 @@ func runSharded(ss *Session) (*Result, error) {
 		// stays la, so causality is untouched — only dead windows are
 		// skipped.
 		for i := range pendingH {
-			for j := range pendingH[i] {
-				if h := &pendingH[i][j]; !hasNext || h.DeliverAt < next {
-					next, hasNext = h.DeliverAt, true
-				}
+			if at, ok := pendingH[i].Next(); ok && (!hasNext || at < next) {
+				next, hasNext = at, true
 			}
 		}
 		if !hasNext {
@@ -778,6 +805,10 @@ func (st *shardState) serve(in <-chan shardEpochIn, out chan<- shardEpochOut, wg
 // this shard's local same-instant deliveries — that the unsharded
 // engine fires the original delivery at.
 func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
+	// The coordinator copied last window's reports out before sending
+	// this work order.
+	st.outHandoffs = st.outHandoffs[:0]
+	st.outDones = st.outDones[:0]
 	st.applyCloses(ep.closes, true)
 	for i := range ep.handoffs {
 		h := &ep.handoffs[i]
@@ -792,8 +823,6 @@ func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
 		lastDone:  st.lastDone,
 		err:       st.err,
 	}
-	st.outHandoffs = nil
-	st.outDones = nil
 	o.nextAt, o.hasNext = st.sim.NextEventAt()
 	return o
 }
@@ -953,30 +982,14 @@ func replayGoodput(sc *Scenario, res *Result, shards []*shardState, opens []open
 	}
 }
 
-// sortHandoffs orders one epoch's handoffs deterministically.
-func sortHandoffs(hs []topology.Handoff) {
-	sort.SliceStable(hs, func(i, j int) bool { return topology.HandoffBefore(&hs[i], &hs[j]) })
-}
-
 // sortCloses orders one epoch's completion messages deterministically.
+// (at, idx) is unique — a flow completes once — so the sort needs no
+// stability, and the generic sort allocates nothing.
 func sortCloses(cs []closeMsg) {
-	sort.SliceStable(cs, func(i, j int) bool {
-		if cs[i].at != cs[j].at {
-			return cs[i].at < cs[j].at
+	slices.SortFunc(cs, func(a, b closeMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return cs[i].idx < cs[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
-}
-
-// splitDue partitions pending handoffs into those due by the deadline
-// and the rest.
-func splitDue(hs []topology.Handoff, deadline units.Time) (due, rest []topology.Handoff) {
-	for i := range hs {
-		if hs[i].DeliverAt <= deadline {
-			due = append(due, hs[i])
-		} else {
-			rest = append(rest, hs[i])
-		}
-	}
-	return due, rest
 }

@@ -72,9 +72,18 @@ type Handoff struct {
 // arriving at one shard: delivery time, then (admission time, source
 // port index) — exactly the engine's keyed-domain delivery order,
 // since a DeliveryKey is AdmittedAt over SrcPort. The sharded runner
-// sorts each epoch's incoming handoffs with it before scheduling them,
-// so the destination shard's event order is a pure function of the
-// traffic, not of shard count.
+// keeps each shard's pending handoffs in a heap under this order and
+// schedules every epoch's due ones in it, so the destination shard's
+// event order is a pure function of the traffic, not of shard count.
+//
+// The order is total over real handoffs: no two share (DeliverAt,
+// SrcPort), let alone all three keys. One port's deliveries are
+// strictly increasing in time: each packet finishes serializing at
+// least 1 ns after the previous one (a positive wire size rounds up
+// to a TxTime of at least 1 ns), and netem.Port.SetLink floors the
+// next finish so a propagation-delay cut cannot pull a delivery back
+// to or before an earlier one. So an unstable heap yields exactly the
+// stable sort's order.
 func HandoffBefore(a, b *Handoff) bool {
 	if a.DeliverAt != b.DeliverAt {
 		return a.DeliverAt < b.DeliverAt
@@ -83,6 +92,71 @@ func HandoffBefore(a, b *Handoff) bool {
 		return a.AdmittedAt < b.AdmittedAt
 	}
 	return a.SrcPort < b.SrcPort
+}
+
+// HandoffHeap is one destination shard's pending handoffs: a binary
+// min-heap in HandoffBefore order. It is hand-rolled over the value
+// slice because container/heap boxes every pushed and popped value
+// through its any-typed interface. Once the backing array has grown to
+// the run's peak in-flight count, Push and PopDue allocate nothing.
+// Sifts move a hole instead of swapping, so each level costs one
+// Handoff copy. The zero value is an empty heap.
+type HandoffHeap []Handoff
+
+// Push adds one handoff.
+func (h *HandoffHeap) Push(x *Handoff) {
+	s := append(*h, Handoff{})
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !HandoffBefore(x, &s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = *x
+	*h = s
+}
+
+// Next reports the earliest pending delivery time; ok is false when
+// the heap is empty.
+func (h HandoffHeap) Next() (at units.Time, ok bool) {
+	if len(h) == 0 {
+		return 0, false
+	}
+	return h[0].DeliverAt, true
+}
+
+// PopDue removes every handoff with DeliverAt ≤ deadline, appends them
+// to dst in HandoffBefore order, and returns the extended slice.
+func (h *HandoffHeap) PopDue(dst []Handoff, deadline units.Time) []Handoff {
+	s := *h
+	for len(s) > 0 && s[0].DeliverAt <= deadline {
+		dst = append(dst, s[0])
+		// Sift the last element down from the root's hole.
+		n := len(s) - 1
+		last := &s[n]
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && HandoffBefore(&s[r], &s[c]) {
+				c = r
+			}
+			if !HandoffBefore(&s[c], last) {
+				break
+			}
+			s[i] = s[c]
+			i = c
+		}
+		s[i] = *last
+		s = s[:n]
+	}
+	*h = s
+	return dst
 }
 
 // Partition assigns every switch group of a network to a shard. It is
