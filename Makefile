@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates specs examples smoke largescale-smoke shard-smoke serve-smoke ci
+.PHONY: build test vet lint lint-json race bench bench-all bench-gate bench-gate-self alloc-gates specs examples smoke largescale-smoke shard-smoke serve-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -130,10 +130,17 @@ largescale-smoke:
 shard-smoke:
 	$(GO) run -race ./cmd/experiments -fig figF1 -flows 60 -workers 2 -shards 4 -q >/dev/null
 
+# loc prints the production line count — the design-quality metric the
+# ROADMAP tracks: wc -l over every non-test .go file in internal/ and
+# cmd/, testdata excluded. Informational in ci, never a gate.
+loc:
+	@echo "production LOC: $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)"
+
 # ci is the gate: static checks (vet + simlint), the full test suite,
-# the zero-allocation gates, the race detector over all packages, and
-# the end-to-end smoke runs. Set BENCH_GATE=1 to also enforce the
-# events/sec regression threshold against the tracked baselines
+# the zero-allocation gates, the race detector over all packages, the
+# end-to-end smoke runs, then the informational line count. Set
+# BENCH_GATE=1 to also enforce the events/sec regression threshold
+# against the tracked baselines
 # (opt-in: CI hardware varies, so the wall-clock gate is only
 # meaningful where the newest BENCH_<pr>.json was produced).
-ci: build vet lint test alloc-gates race specs examples smoke largescale-smoke shard-smoke serve-smoke $(if $(BENCH_GATE),bench-gate)
+ci: build vet lint test alloc-gates race specs examples smoke largescale-smoke shard-smoke serve-smoke loc $(if $(BENCH_GATE),bench-gate)

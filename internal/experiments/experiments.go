@@ -51,8 +51,8 @@ type Options struct {
 	Workers int
 	// Shards, when > 1, spatially shards every scenario across that
 	// many goroutines (clamped per topology). Composes with Workers and
-	// keeps every figure byte-identical: the sharded runner reproduces
-	// the single-engine event order exactly. Applied at run time, after
+	// keeps every figure byte-identical: the runner reproduces the
+	// one-shard event order exactly at every shard count. Applied at run time, after
 	// compilation, so dumped specs are shard-free and portable.
 	Shards int
 	// DumpSpecs, when set, writes every scenario an experiment runs as

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the measurement side of the run-control/measurement
-// split: a typed progress stream every runner (single engine, sharded,
-// sweep) emits over one interface. Observation is strictly read-only —
+// split: a typed progress stream the runner (at any shard count) and
+// the sweep emit over one interface. Observation is strictly read-only —
 // an attached observer sees copies (exact Merge-able aggregate clones,
 // port-stat snapshots) and can never perturb the simulation, so
 // results are byte-identical with and without one (pinned by
@@ -76,10 +76,10 @@ type ProgressEvent struct {
 	FlowsStarted int64
 	FlowsDone    int64
 
-	// Epochs counts the sharded runner's barrier windows so far (every
+	// Epochs counts the multi-shard barrier windows so far (every
 	// shard runs each one); Handoffs the boundary-crossing packets all
-	// shards exchanged at those barriers. Both are 0 on a one-engine
-	// run.
+	// shards exchanged at those barriers. Both are 0 on a one-shard
+	// run, which has no barriers.
 	Epochs   uint64
 	Handoffs uint64
 

@@ -6,18 +6,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tlb/internal/netem"
 	"tlb/internal/units"
 )
 
 // This file is the run-control side of the run-control/measurement
 // split: a Session owns one scenario's execution — start, cooperative
 // cancellation, periodic snapshots — while the measurement itself
-// stays in the runners (sim.go, shard.go) and the observer stream
-// (observer.go). Run, RunSweep and the sharded runner are all built on
-// it.
+// stays in the runner (shard.go) and the observer stream
+// (observer.go). Run and RunSweep are built on it.
 //
-// Determinism: the session drives the engine in bounded RunUntil
+// Determinism: the runner drives its engines in bounded RunUntil
 // windows instead of one call, which is behavior-neutral — RunUntil
 // executes events <= its deadline and then only advances the clock, so
 // slicing [0, MaxTime] into windows executes the identical event
@@ -26,7 +24,9 @@ import (
 // happen strictly *between* windows, on the session goroutine, reading
 // copies — never from inside the event stream — so an attached
 // observer cannot perturb results, and a cancel discards the partial
-// run rather than returning a half-measured Result.
+// run rather than returning a half-measured Result. A one-shard run
+// slices at the snapshot period; a multi-shard run at its lookahead
+// barriers.
 
 // ErrCanceled is the terminal error of a canceled session, wrapped
 // with the scenario name; test with errors.Is.
@@ -133,36 +133,25 @@ func (ss *Session) Run() (*Result, error) {
 		ss.emitDone(nil, err)
 		return nil, err
 	}
-	var (
-		res *Result
-		err error
-	)
-	if sc.Shards > 1 {
-		res, err = runSharded(ss)
-	} else {
-		res, err = runSingle(ss)
-	}
+	res, err := runShards(ss)
 	ss.emitDone(res, err)
 	return res, err
 }
 
-// validate applies the shared scenario checks (shard-specific ones
-// live in runSharded). The messages are part of the API surface —
-// spec-layer tests match on them.
+// validate applies the shared scenario checks (shard-count ones live
+// in runShards). The messages are part of the API surface — spec-layer
+// tests match on them.
 func (ss *Session) validate() error {
 	sc := &ss.sc
 	if sc.Balancer == nil {
 		return fmt.Errorf("sim: scenario %q has no balancer", sc.Name)
 	}
-	if sc.FlowSource != nil && sc.FlowSourceNew != nil {
-		return fmt.Errorf("sim: scenario %q sets both FlowSource and FlowSourceNew", sc.Name)
-	}
-	hasSource := sc.FlowSource != nil || sc.FlowSourceNew != nil
+	hasSource := sc.FlowSourceNew != nil
 	if len(sc.Flows) == 0 && !hasSource {
 		return fmt.Errorf("sim: scenario %q has no flows", sc.Name)
 	}
 	if len(sc.Flows) > 0 && hasSource {
-		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSource", sc.Name)
+		return fmt.Errorf("sim: scenario %q sets both Flows and FlowSourceNew", sc.Name)
 	}
 	if sc.StreamStats {
 		if sc.SampleShortPackets || sc.CollectTimeSeries {
@@ -262,21 +251,4 @@ func resultClasses(res *Result) *StreamAgg {
 		agg.Fold(fs, fs.Size <= res.ShortThreshold, res.EndTime)
 	}
 	return agg
-}
-
-// portSnapshots copies the current totals of the balanced (uplink)
-// ports — the same reduction the end-of-run Result performs, reused by
-// mid-run snapshots, where reading the counters is safe because the
-// engine is parked at a batch boundary.
-func portSnapshots(ports []*netem.Port) []PortSnapshot {
-	out := make([]PortSnapshot, 0, len(ports))
-	for _, p := range ports {
-		out = append(out, PortSnapshot{
-			Label:    p.Label(),
-			BusyTime: p.BusyTime(),
-			Queue:    p.Queue().Stats(),
-			Link:     p.Link(),
-		})
-	}
-	return out
 }

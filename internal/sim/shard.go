@@ -1,12 +1,12 @@
-// Sharded runner: one scenario spatially partitioned across event
-// engines running on parallel goroutines.
+// The runner: one scenario spatially partitioned across event engines.
+// An unsharded run is the one-shard partition, on the same code path.
 //
 // Each shard builds its OWN complete copy of the network and hosts
-// (identical construction, same seed, so RNG consumption matches the
-// single-engine run exactly) but drives only the components its
-// partition owns: flows open where their endpoints live, boundary
-// egress ports capture crossing packets as value handoffs
-// (topology.Sharder), and unowned switches simply never see traffic.
+// (identical construction, same seed, so RNG consumption matches at
+// every shard count) but drives only the components its partition
+// owns: flows open where their endpoints live, boundary egress ports
+// capture crossing packets as value handoffs (topology.Network's
+// partition methods), and unowned switches simply never see traffic.
 //
 // Synchronization is conservative lookahead (Chandy–Misra–Bryant
 // windows): the minimum propagation delay L over all shard-boundary
@@ -19,27 +19,29 @@
 // one — never in a shard's past. Window *starts* jump over idle gaps
 // (to the earliest pending event or handoff anywhere) so a quiet
 // simulation does not pay L-sized steps; window *width* never exceeds
-// L, which is what preserves causality.
+// L, which is what preserves causality. A single shard has no boundary
+// and no lookahead: it runs inline on the session goroutine, in the
+// session's snapshot/cancel windows, without a barrier.
 //
 // Determinism: every delivery — local or handed off — is scheduled in
 // the engine's keyed domain under netem.DeliveryKey(admission time,
 // port index), a pure function of traffic and topology, so two events
 // colliding on one nanosecond order identically whether they met on
-// one global engine or arrived across a boundary (each epoch's
-// incoming handoffs are additionally scheduled in
-// topology.HandoffBefore order — the same (DeliverAt, AdmittedAt,
-// SrcPort) order). Flow teardown obeys the same finite-latency rule
-// as packets: a sender's completion closes its receiver via a keyed event
-// at completion + lag (teardownLag, ≥ the window width), which a
-// cross-shard closeMsg delivered at the next barrier re-creates
-// exactly — an instantaneous close would be a zero-latency cross-shard
-// influence, and whether a late retransmission meets an open or a
-// closed receiver would then depend on the partition. Order-sensitive
-// floating-point reductions (time series, per-packet samples) are
-// logged and replayed in one canonical sorted order by BOTH runners
-// (replaySampleRecs, replayGoodput). Everything shards exchange is a
-// value — no mutable memory is shared between shard goroutines, and
-// packet pool ownership never crosses one (packetown stays clean).
+// one engine or arrived across a boundary (each epoch's incoming
+// handoffs are additionally scheduled in topology.HandoffBefore order —
+// the same (DeliverAt, AdmittedAt, SrcPort) order). Flow teardown
+// obeys the same finite-latency rule as packets: a sender's completion
+// closes its receiver via a keyed event at completion + lag
+// (teardownLag, ≥ the window width), which a cross-shard closeMsg
+// delivered at the next barrier re-creates exactly — an instantaneous
+// close would be a zero-latency cross-shard influence, and whether a
+// late retransmission meets an open or a closed receiver would then
+// depend on the partition. Order-sensitive floating-point reductions
+// (time series, per-packet samples, goodput ticks) are logged per shard
+// and replayed in one canonical sorted order (replaySamples,
+// replayGoodput). Everything shards exchange is a value — no mutable
+// memory is shared between shard goroutines, and packet pool ownership
+// never crosses one (packetown stays clean).
 //
 // Barrier exchange: in steady state it allocates nothing. Each
 // destination shard's undelivered handoffs wait in a
@@ -61,16 +63,17 @@
 // shard-smoke.
 //
 // Exactness: with MaxTime-bounded runs every counter, flow record,
-// sample and series bucket is reproduced. Known residual divergences
-// from the single-engine run, all bounded and deterministic for a
-// given shard count: (1) under StopWhenDone, shards finish the last
-// window after the final completion, so packets still draining can
-// bump port/drop counters the single-engine run never executed (flow
-// records are unaffected: all senders have completed, and every
-// receiver froze its stats at payload completion); (2) streaming-stats
-// mean/variance fold in barrier order, identical across runs of the
-// same shard count but rounding-different across counts (counters and
-// the quantile sketch merge exactly). The figure-identity tests in
+// sample and series bucket is the same at every shard count. Known
+// residual divergences from a one-shard run, all bounded and
+// deterministic for a given shard count: (1) under StopWhenDone, one
+// shard stops its engine at the final completion, but several shards
+// finish the last window after it, so packets still draining can bump
+// port/drop counters the one-shard run never executed (flow records
+// are unaffected: all senders have completed, and every receiver froze
+// its stats at payload completion); (2) streaming-stats mean/variance
+// fold in barrier order, identical across runs of the same shard count
+// but rounding-different across counts (counters and the quantile
+// sketch merge exactly). The figure-identity tests in
 // internal/experiments pin both to byte-identical CSV output on every
 // acceptance figure.
 package sim
@@ -87,6 +90,7 @@ import (
 	"tlb/internal/netem"
 	"tlb/internal/stats"
 	"tlb/internal/topology"
+	"tlb/internal/trace"
 	"tlb/internal/transport"
 	"tlb/internal/units"
 	"tlb/internal/workload"
@@ -121,7 +125,8 @@ type tickRec struct {
 
 // openRec remembers a flow opened with its sender on this shard, in
 // open order — the record-mode result set and the goodput sampler's
-// iteration domain.
+// iteration domain. A replicated flow's canonical record is logged
+// when it is scheduled, ahead of every opened flow.
 type openRec struct {
 	idx   int
 	start units.Time
@@ -160,7 +165,7 @@ type shardState struct {
 	sc   *Scenario
 	cfg  transport.Config // sc.Transport with this shard's pool
 	sim  *eventsim.Sim
-	net  topology.Sharder
+	net  topology.Network
 	part *topology.Partition
 
 	hosts     []*transport.Host
@@ -171,8 +176,12 @@ type shardState struct {
 	remaining int
 	drained   bool
 	lastDone  units.Time
-	closeLag  units.Time // finite teardown latency, same value in every shard and mode
-	err       error
+	closeLag  units.Time // finite teardown latency, same value at every shard count
+	// selfStop makes the shard stop its engine at the final completion
+	// under StopWhenDone. Only a lone shard may: with several, the
+	// coordinator decides at the next barrier.
+	selfStop bool
+	err      error
 
 	outHandoffs []topology.Handoff
 	outDones    []closeMsg
@@ -199,55 +208,54 @@ type shardState struct {
 	ticks   []tickRec
 }
 
-// runSharded is the Shards > 1 entry point; the session has already
-// applied defaults and the shared validation.
-func runSharded(ss *Session) (*Result, error) {
+// runShards is the runner behind every Session.Run; the session has
+// already applied defaults and the shared validation.
+func runShards(ss *Session) (*Result, error) {
 	sc := &ss.sc
-	if sc.Replication != nil {
+	if sc.Shards > 1 && sc.Replication != nil {
 		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with Replication (racing copies share one record); run with Shards: 1", sc.Name)
 	}
-	if sc.Tracer != nil {
+	if sc.Shards > 1 && sc.Tracer != nil {
 		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 is incompatible with a Tracer (trace order is engine-local); run with Shards: 1", sc.Name)
-	}
-	if sc.FlowSource != nil {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 needs the workload as a replayable FlowSourceNew factory, not a one-shot FlowSource", sc.Name)
 	}
 
 	// Build shard 0 first to learn the partition after clamping to the
-	// topology's parallelism; a single-shard partition falls back to
-	// the exact single-engine path.
+	// topology's parallelism.
 	first, la, err := buildShard(sc, 0)
 	if err != nil {
 		return nil, err
 	}
 	n := first.part.Shards
-	if n <= 1 {
-		sc.Shards = 1
-		return runSingle(ss)
-	}
-	// The lookahead is the minimum boundary propagation delay, further
-	// tightened by any scheduled OpDelay — a fault may shrink a
-	// boundary link mid-run, and the window width must stay causal
-	// under the smallest delay that can ever be in effect.
-	for _, ev := range sc.Faults {
-		if ev.Op == faults.OpDelay && ev.Delay < la {
-			la = ev.Delay
-		}
-	}
-	if la <= 0 {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum boundary-link delay (lookahead %v)", sc.Name, la)
-	}
-	// Flow teardown travels at the same finite latency in both modes
-	// (see teardownLag); it is computed over every boundary-capable
-	// link, so it can only tighten the window — which keeps a close
-	// event scheduled from a barrier (at completion + lag) always in a
-	// later window than the completion's.
+	window := ss.window()
+	// Flow teardown travels at the same finite latency at every shard
+	// count (see teardownLag).
 	lag := teardownLag(first.net, sc.Faults)
-	if lag <= 0 {
-		return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum fabric-link delay (teardown lag %v)", sc.Name, lag)
-	}
-	if lag < la {
-		la = lag
+	if n == 1 {
+		la = window
+	} else {
+		// The lookahead is the minimum boundary propagation delay,
+		// further tightened by any scheduled OpDelay — a fault may
+		// shrink a boundary link mid-run, and the window width must
+		// stay causal under the smallest delay that can ever be in
+		// effect.
+		for _, ev := range sc.Faults {
+			if ev.Op == faults.OpDelay && ev.Delay < la {
+				la = ev.Delay
+			}
+		}
+		if la <= 0 {
+			return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum boundary-link delay (lookahead %v)", sc.Name, la)
+		}
+		// The lag is computed over every boundary-capable link, so it
+		// can only tighten the window — which keeps a close event
+		// scheduled from a barrier (at completion + lag) always in a
+		// later window than the completion's.
+		if lag <= 0 {
+			return nil, fmt.Errorf("sim: scenario %q: Shards > 1 requires a positive minimum fabric-link delay (teardown lag %v)", sc.Name, lag)
+		}
+		if lag < la {
+			la = lag
+		}
 	}
 
 	shards := make([]*shardState, n)
@@ -259,6 +267,7 @@ func runSharded(ss *Session) (*Result, error) {
 	}
 	for _, st := range shards {
 		st.closeLag = lag
+		st.selfStop = n == 1 && sc.StopWhenDone
 		if ss.observing() && !sc.StreamStats {
 			st.obsAgg = &StreamAgg{}
 		}
@@ -280,20 +289,36 @@ func runSharded(ss *Session) (*Result, error) {
 	}
 	owners := shards[0].net.BalancedPortOwners(shards[0].part)
 
-	ins := make([]chan shardEpochIn, n)
-	outs := make([]chan shardEpochOut, n)
-	var wg sync.WaitGroup
-	for i, st := range shards {
-		ins[i] = make(chan shardEpochIn, 1)
-		outs[i] = make(chan shardEpochOut, 1)
-		wg.Add(1)
-		go st.serve(ins[i], outs[i], &wg)
-	}
-	stopWorkers := func() {
-		for _, in := range ins {
-			close(in)
+	// exchange runs one window on every shard: inline for a lone
+	// shard, through its goroutine's channel pair otherwise.
+	ins := make([]shardEpochIn, n)
+	outs := make([]shardEpochOut, n)
+	exchange := func() { outs[0] = shards[0].runEpoch(ins[0]) }
+	stopWorkers := func() {}
+	if n > 1 {
+		inCh := make([]chan shardEpochIn, n)
+		outCh := make([]chan shardEpochOut, n)
+		var wg sync.WaitGroup
+		for i, st := range shards {
+			inCh[i] = make(chan shardEpochIn, 1)
+			outCh[i] = make(chan shardEpochOut, 1)
+			wg.Add(1)
+			go st.serve(inCh[i], outCh[i], &wg)
 		}
-		wg.Wait()
+		exchange = func() {
+			for i := range inCh {
+				inCh[i] <- ins[i]
+			}
+			for i := range outCh {
+				outs[i] = <-outCh[i]
+			}
+		}
+		stopWorkers = func() {
+			for _, in := range inCh {
+				close(in)
+			}
+			wg.Wait()
+		}
 	}
 
 	// The epoch loop. pendingH/pendingC hold messages produced in past
@@ -305,7 +330,6 @@ func runSharded(ss *Session) (*Result, error) {
 	pendingC := make([][]closeMsg, n)
 	spareC := make([][]closeMsg, n)
 	maxT := sc.MaxTime
-	window := ss.window()
 	nextSnap := window
 	var (
 		cur     units.Time
@@ -313,13 +337,17 @@ func runSharded(ss *Session) (*Result, error) {
 		runErr  error
 	)
 	for {
-		// Cooperative cancel, checked between windows like the
-		// single-engine drive loop checks between batches.
+		// Cooperative cancel, checked between windows.
 		if ss.Canceled() {
 			stopWorkers()
 			return nil, ss.cancelErr()
 		}
 		deadline := cur + la - 1
+		if n == 1 {
+			// A lone shard's windows end on multiples of the session
+			// window, so each snapshot lands on its period.
+			deadline = cur + la
+		}
 		if deadline > maxT || deadline < cur {
 			deadline = maxT
 		}
@@ -328,15 +356,18 @@ func runSharded(ss *Session) (*Result, error) {
 			cs := pendingC[i]
 			sortCloses(cs)
 			pendingC[i], spareC[i] = spareC[i][:0], cs
-			ins[i] <- shardEpochIn{deadline: deadline, handoffs: due[i], closes: cs}
+			ins[i] = shardEpochIn{deadline: deadline, handoffs: due[i], closes: cs}
 		}
-		ss.epochs++
+		exchange()
+		if n > 1 {
+			ss.epochs++
+		}
 		total := 0
 		allDrained := true
 		var last, next units.Time
 		hasNext := false
-		for i := range shards {
-			o := <-outs[i]
+		for i := range outs {
+			o := &outs[i]
 			if o.err != nil && runErr == nil {
 				runErr = o.err
 			}
@@ -392,20 +423,15 @@ func runSharded(ss *Session) (*Result, error) {
 				agg.Merge(st.obsAgg)
 			}
 			ev.Classes = agg
-			ev.Uplinks = make([]PortSnapshot, 0, len(owners))
-			for i, o := range owners {
-				p := ports[o][i]
-				ev.Uplinks = append(ev.Uplinks, PortSnapshot{
-					Label:    p.Label(),
-					BusyTime: p.BusyTime(),
-					Queue:    p.Queue().Stats(),
-					Link:     p.Link(),
-				})
-			}
+			ev.Uplinks = uplinkSnapshots(ports, owners)
 			ss.emit(ev)
 			for nextSnap <= deadline {
 				nextSnap += window
 			}
+		}
+		if n == 1 {
+			cur = deadline
+			continue
 		}
 		// Jump the next window's start over the idle gap: the earliest
 		// pending event or undelivered handoff anywhere. The width
@@ -453,13 +479,15 @@ func runSharded(ss *Session) (*Result, error) {
 	owner := shards[0].hostOwner
 	var opens []openRec
 	if sc.StreamStats {
-		res.Stream = &StreamAgg{}
-		for _, st := range shards {
+		// Shard 0's own aggregate is the result (merging it into an
+		// empty one would be exact, so this is the same reduction).
+		res.Stream = shards[0].agg
+		for _, st := range shards[1:] {
 			res.Stream.Merge(st.agg)
 		}
 		// Unfinished flows: sweep still-open senders in global host
-		// order (the single-engine sweep order), grafting the live
-		// receiver half of cross-shard flows before folding.
+		// order, grafting the live receiver half of cross-shard flows
+		// before folding.
 		for h := range owner {
 			st := shards[owner[h]]
 			st.hosts[h].EachOpenSenderSorted(func(snd *transport.Sender) {
@@ -471,17 +499,19 @@ func runSharded(ss *Session) (*Result, error) {
 			})
 		}
 	} else {
-		// Record mode: assemble Flows in the single-engine append
-		// order — flow open order, i.e. (start, index).
+		// Record mode: Flows in open order. A lone shard's log is that
+		// order already; several logs merge by (start, index).
 		for _, st := range shards {
 			opens = append(opens, st.openLog...)
 		}
-		sort.SliceStable(opens, func(a, b int) bool {
-			if opens[a].start != opens[b].start {
-				return opens[a].start < opens[b].start
-			}
-			return opens[a].idx < opens[b].idx
-		})
+		if n > 1 {
+			sort.SliceStable(opens, func(a, b int) bool {
+				if opens[a].start != opens[b].start {
+					return opens[a].start < opens[b].start
+				}
+				return opens[a].idx < opens[b].idx
+			})
+		}
 		for i := range opens {
 			r := &opens[i]
 			fs := r.stats
@@ -508,16 +538,26 @@ func runSharded(ss *Session) (*Result, error) {
 			res.FaultDrops += q.Stats().FaultDropped
 		})
 	}
+	res.Uplinks = uplinkSnapshots(ports, owners)
+	return res, nil
+}
+
+// uplinkSnapshots copies the current totals of the balanced (uplink)
+// ports in their global order, each from the shard that owns it.
+// Mid-run snapshots read the counters at a barrier, where every engine
+// is parked.
+func uplinkSnapshots(ports [][]*netem.Port, owners []int) []PortSnapshot {
+	out := make([]PortSnapshot, 0, len(owners))
 	for i, o := range owners {
 		p := ports[o][i]
-		res.Uplinks = append(res.Uplinks, PortSnapshot{
+		out = append(out, PortSnapshot{
 			Label:    p.Label(),
 			BusyTime: p.BusyTime(),
 			Queue:    p.Queue().Stats(),
 			Link:     p.Link(),
 		})
 	}
-	return res, nil
+	return out
 }
 
 // buildShard constructs one shard's complete private copy of the
@@ -528,6 +568,11 @@ func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
 	st := &shardState{id: id, sc: sc}
 	st.sim = eventsim.New()
 	rng := eventsim.NewRNG(sc.Seed)
+	// One packet pool per shard: endpoints allocate from it, and the
+	// hosts (delivery) and fabric (drops) release back to it, making
+	// the steady-state packet path allocation-free. Per-shard ownership
+	// keeps shards and parallel sweep workers from sharing any mutable
+	// state.
 	pool := netem.NewPacketPool()
 	st.cfg = sc.Transport
 	st.cfg.Pool = pool
@@ -545,13 +590,9 @@ func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 	}
-	sh, ok := net.(topology.Sharder)
-	if !ok {
-		return nil, 0, fmt.Errorf("sim: scenario %q: Shards > 1 needs a partitionable network (topology.Sharder), got %T", sc.Name, net)
-	}
-	st.net = sh
-	st.part = sh.NewPartition(sc.Shards)
-	la := sh.ShardBind(st.part, id, func(h topology.Handoff) {
+	st.net = net
+	st.part = net.NewPartition(sc.Shards)
+	la := net.ShardBind(st.part, id, func(h topology.Handoff) {
 		st.outHandoffs = append(st.outHandoffs, h)
 	})
 	st.applyFn = func(arg any) { st.net.ApplyHandoff(arg.(*topology.Handoff)) }
@@ -578,7 +619,7 @@ func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
 			}
 			return up, down, nil
 		}
-		if _, err := faults.Install(st.sim, sc.Faults, resolve, nil); err != nil {
+		if _, err := faults.Install(st.sim, sc.Faults, resolve, sc.Tracer); err != nil {
 			return nil, 0, fmt.Errorf("sim: scenario %q: %w", sc.Name, err)
 		}
 	}
@@ -592,7 +633,7 @@ func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
 	}
 	st.hostOwner = make([]int, net.Hosts())
 	for h := range st.hostOwner {
-		st.hostOwner[h] = sh.HostOwner(st.part, h)
+		st.hostOwner[h] = net.HostOwner(st.part, h)
 	}
 	st.rstats = make(map[int]*transport.FlowStats)
 	if sc.StreamStats {
@@ -603,8 +644,48 @@ func buildShard(sc *Scenario, id int) (*shardState, units.Time, error) {
 	return st, la, nil
 }
 
-// checkFlowEndpoints mirrors the single-engine runner's flow check.
-func checkFlowEndpoints(i int, f workload.Flow, hosts int) error {
+// teardownLag returns the flow-teardown latency for a run on net: how
+// long after a sender's completion its receiver is torn down. Teardown
+// is modelled as a finite-latency event because an instantaneous close
+// would be a zero-latency cross-shard influence — a retransmission
+// still in flight when the sender finishes would be consumed by a
+// multi-shard run (receiver open until the next barrier) but discarded
+// by a one-shard run (receiver closed synchronously), and the extra
+// duplicate ACK perturbs every downstream per-packet RNG draw. Using
+// the minimum boundary-capable link delay — tightened by any
+// fault-scheduled delay override, exactly like the lookahead — makes
+// the lag (a) a pure function of scenario and topology, so every shard
+// count schedules the identical close event, and (b) at least as large
+// as the synchronization window, so a completion crossing a barrier
+// can always still schedule its close in the future. A network without
+// delayed fabric links returns 0, which keeps the synchronous close
+// (and cannot shard).
+func teardownLag(net topology.Network, sched faults.Schedule) units.Time {
+	lag := net.MinFabricDelay()
+	if lag <= 0 {
+		return 0
+	}
+	for _, ev := range sched {
+		if ev.Op == faults.OpDelay && ev.Delay < lag {
+			lag = ev.Delay
+		}
+	}
+	return lag
+}
+
+// closeReceiver tears down a flow's receiving endpoint at its sender's
+// completion: deferred by the teardown lag (see teardownLag), or
+// synchronous where no lag is defined.
+func closeReceiver(h *transport.Host, done, lag units.Time, id netem.FlowID) {
+	if lag > 0 {
+		h.CloseReceiverAt(done, lag, id)
+	} else {
+		h.CloseReceiver(id)
+	}
+}
+
+// checkFlow rejects a flow whose endpoints are not two distinct hosts.
+func checkFlow(i int, f workload.Flow, hosts int) error {
 	if f.Src == f.Dst || f.Src < 0 || f.Src >= hosts || f.Dst < 0 || f.Dst >= hosts {
 		return fmt.Errorf("sim: flow %d has invalid endpoints %d->%d", i, f.Src, f.Dst)
 	}
@@ -621,7 +702,7 @@ func checkFlowEndpoints(i int, f workload.Flow, hosts int) error {
 func (st *shardState) scheduleFlows() error {
 	sc := st.sc
 	for i, f := range sc.Flows {
-		if err := checkFlowEndpoints(i, f, len(st.hosts)); err != nil {
+		if err := checkFlow(i, f, len(st.hosts)); err != nil {
 			return err
 		}
 		if st.hostOwner[f.Src] != st.id && st.hostOwner[f.Dst] != st.id {
@@ -629,6 +710,10 @@ func (st *shardState) scheduleFlows() error {
 		}
 		if st.hostOwner[f.Src] == st.id {
 			st.remaining++
+		}
+		if sc.Replication != nil && sc.Replication.Copies > 1 && f.Size <= sc.Replication.Threshold {
+			st.openReplicated(i, f)
+			continue
 		}
 		i, f := i, f
 		st.sim.At(f.Start, func() { st.openFlow(i, f) })
@@ -638,12 +723,12 @@ func (st *shardState) scheduleFlows() error {
 		st.src = sc.FlowSourceNew()
 		var pump func(i int, f workload.Flow)
 		pump = func(i int, f workload.Flow) {
-			if err := checkFlowEndpoints(i, f, len(st.hosts)); err != nil {
+			if err := checkFlow(i, f, len(st.hosts)); err != nil {
 				st.fail(err)
 				return
 			}
 			if f.Start < st.sim.Now() {
-				st.fail(fmt.Errorf("sim: FlowSource went backwards: flow %d starts at %v, now %v", i, f.Start, st.sim.Now()))
+				st.fail(fmt.Errorf("sim: FlowSourceNew went backwards: flow %d starts at %v, now %v", i, f.Start, st.sim.Now()))
 				return
 			}
 			if st.hostOwner[f.Src] == st.id {
@@ -661,7 +746,7 @@ func (st *shardState) scheduleFlows() error {
 		if f, ok := st.src.Next(); ok {
 			pump(0, f)
 		} else {
-			return fmt.Errorf("sim: scenario %q: FlowSource yielded no flows", sc.Name)
+			return fmt.Errorf("sim: scenario %q: FlowSourceNew yielded no flows", sc.Name)
 		}
 	}
 	return nil
@@ -675,14 +760,17 @@ func (st *shardState) fail(err error) {
 	st.sim.Stop()
 }
 
-// flowDone is the shard-local part of every completion. Shards never
-// stop themselves — the coordinator owns the stop decision at the
-// next barrier.
+// flowDone is the shard-local part of every completion. Only a lone
+// shard stops itself (selfStop); otherwise the coordinator owns the
+// stop decision at the next barrier.
 func (st *shardState) flowDone() {
 	st.remaining--
 	st.done++
 	if now := st.sim.Now(); now > st.lastDone {
 		st.lastDone = now
+	}
+	if st.selfStop && st.remaining == 0 && st.drained {
+		st.sim.Stop()
 	}
 }
 
@@ -695,10 +783,16 @@ func (st *shardState) openFlow(i int, f workload.Flow) {
 	dstHere := st.hostOwner[f.Dst] == st.id
 	switch {
 	case srcHere && dstHere:
-		// Shard-local flow: the exact single-engine wiring — shared
-		// record, deferred keyed close and synchronous fold.
+		// Shard-local flow: shared record, deferred keyed close and
+		// synchronous fold.
 		snd := st.hosts[f.Src].OpenSender(st.cfg, id, f.Size, func(done *transport.Sender) {
-			st.hosts[f.Dst].CloseReceiverAt(st.sim.Now(), st.closeLag, id)
+			closeReceiver(st.hosts[f.Dst], st.sim.Now(), st.closeLag, id)
+			if sc.Tracer != nil {
+				sc.Tracer.Record(trace.Event{
+					At: st.sim.Now(), Kind: trace.FlowEnd, Flow: id,
+					Note: fmt.Sprintf("fct=%v retx=%d", done.Stats.FCT(), done.Stats.Retransmits),
+				})
+			}
 			if st.agg != nil {
 				st.agg.Fold(&done.Stats, short, st.sim.Now())
 			}
@@ -711,6 +805,9 @@ func (st *shardState) openFlow(i int, f workload.Flow) {
 		recv := st.hosts[f.Dst].OpenReceiver(st.cfg, id, f.Size, &snd.Stats)
 		st.hookSamples(recv, short)
 		st.logOpen(i, short, false, &snd.Stats)
+		if sc.Tracer != nil {
+			sc.Tracer.Record(trace.Event{At: st.sim.Now(), Kind: trace.FlowStart, Flow: id, Note: f.Size.String()})
+		}
 		st.started++
 		snd.Start()
 	case srcHere:
@@ -737,6 +834,60 @@ func (st *shardState) openFlow(i int, f workload.Flow) {
 	}
 }
 
+// openReplicated realizes flow idx as N racing copies (RepFlow) with
+// distinct five-tuples; the flow's record is the first copy to finish.
+// The losers keep draining but are otherwise ignored. Replication runs
+// on one shard only, so both endpoints are local. The canonical record
+// is logged now, ahead of every flow opened during the run.
+func (st *shardState) openReplicated(idx int, f workload.Flow) {
+	sc := st.sc
+	canonicalID := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx}
+	canonical := &transport.FlowStats{ID: canonicalID, Size: f.Size, Deadline: f.Deadline}
+	short := f.Size <= sc.ShortThreshold
+	st.openLog = append(st.openLog, openRec{idx: idx, start: f.Start, short: short, stats: canonical})
+	won := false
+	copies := sc.Replication.Copies
+	st.sim.At(f.Start, func() {
+		for c := 0; c < copies; c++ {
+			// Distinct Port per copy: per-flow schemes (ECMP, WCMP,
+			// Presto, ...) hash the copies independently.
+			id := netem.FlowID{Src: f.Src, Dst: f.Dst, Port: idx + (c+1)<<24}
+			recvHost := st.hosts[f.Dst]
+			snd := st.hosts[f.Src].OpenSender(st.cfg, id, f.Size, func(done *transport.Sender) {
+				closeReceiver(recvHost, st.sim.Now(), st.closeLag, id)
+				if won {
+					return
+				}
+				won = true
+				// The winner's record becomes the flow's record.
+				*canonical = done.Stats
+				canonical.ID = canonicalID
+				canonical.Deadline = f.Deadline
+				if sc.Tracer != nil {
+					sc.Tracer.Record(trace.Event{
+						At: st.sim.Now(), Kind: trace.FlowEnd, Flow: canonicalID,
+						Note: fmt.Sprintf("repflow winner fct=%v", done.Stats.FCT()),
+					})
+				}
+				if st.obsAgg != nil {
+					st.obsAgg.Fold(canonical, short, st.sim.Now())
+				}
+				st.flowDone()
+			})
+			snd.Stats.Deadline = f.Deadline
+			recvHost.OpenReceiver(st.cfg, id, f.Size, &snd.Stats)
+			snd.Start()
+		}
+		if sc.Tracer != nil {
+			sc.Tracer.Record(trace.Event{
+				At: st.sim.Now(), Kind: trace.FlowStart, Flow: canonicalID,
+				Note: fmt.Sprintf("%v x%d replicas", f.Size, copies),
+			})
+		}
+		st.started++
+	})
+}
+
 // logOpen records a sender-owned open (record mode only — streaming
 // runs retain no per-flow state).
 func (st *shardState) logOpen(idx int, short, cross bool, fs *transport.FlowStats) {
@@ -749,8 +900,8 @@ func (st *shardState) logOpen(idx int, short, cross bool, fs *transport.FlowStat
 }
 
 // hookSamples wires the receiver's per-packet sample hook into the
-// shard-local log, under the same conditions the single-engine runner
-// installs its hooks.
+// shard-local log: short-flow packets when SampleShortPackets, every
+// packet when CollectTimeSeries.
 func (st *shardState) hookSamples(recv *transport.Receiver, short bool) {
 	sc := st.sc
 	if !(sc.SampleShortPackets && short) && !sc.CollectTimeSeries {
@@ -761,9 +912,10 @@ func (st *shardState) hookSamples(recv *transport.Receiver, short bool) {
 	}
 }
 
-// installTicker arms the per-shard goodput sampler: same period and
-// phase as the single-engine sampler, but deltas are logged and
-// replayed in a sorted merge instead of added to the series directly.
+// installTicker arms the per-shard goodput sampler: once per time
+// bucket it logs each flow's acked-byte progress (per-packet samples
+// carry no size). The deltas are replayed in a sorted merge after the
+// run rather than added to the series directly.
 func (st *shardState) installTicker() {
 	period := st.sc.TimeBucket
 	var tick func()
@@ -802,8 +954,8 @@ func (st *shardState) serve(in <-chan shardEpochIn, out chan<- shardEpochOut, wg
 // runEpoch applies the barrier's messages, runs the window, and
 // reports. Each handoff is scheduled with the same DeliveryKey its
 // source port used, so it fires at exactly the position — relative to
-// this shard's local same-instant deliveries — that the unsharded
-// engine fires the original delivery at.
+// this shard's local same-instant deliveries — that a one-shard run
+// fires the original delivery at.
 func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
 	// The coordinator copied last window's reports out before sending
 	// this work order.
@@ -832,7 +984,7 @@ func (st *shardState) runEpoch(ep shardEpochIn) shardEpochOut {
 // The stats merge happens here — safe at any point at or after
 // completion, because the receiver froze its half of the record the
 // moment all payload arrived — but the teardown itself is re-created
-// as the keyed engine event the single engine schedules at the
+// as the keyed engine event a shard-local flow schedules at the
 // sender's done callback: at completion + lag, keyed by (completion,
 // host). The lag is no smaller than the window width, so an event
 // scheduled from the barrier after the completion's window is never in
@@ -881,7 +1033,14 @@ func addRecvHalf(dst, src *transport.FlowStats) {
 }
 
 // replaySamples merges the per-shard packet-sample logs and feeds the
-// retained-sample slice and the receiver-side time series.
+// retained-sample slice and the receiver-side time series, in (time,
+// receiving host) order. The time-series bucket sums are
+// floating-point and therefore order-sensitive: same-instant samples
+// at different hosts arrive in engine delivery order on one shard but
+// are logged per shard when there are several, so a canonical replay
+// order is the only way the sums come out bit-identical. Two samples
+// can never tie on (time, host): a host's last hop is one FIFO port,
+// which separates its deliveries in time.
 func replaySamples(sc *Scenario, res *Result, shards []*shardState, endTime units.Time) {
 	if !sc.SampleShortPackets && !sc.CollectTimeSeries {
 		return
@@ -890,19 +1049,6 @@ func replaySamples(sc *Scenario, res *Result, shards []*shardState, endTime unit
 	for _, st := range shards {
 		recs = append(recs, st.samples...)
 	}
-	replaySampleRecs(sc, res, recs, endTime)
-}
-
-// replaySampleRecs applies a packet-sample log in (time, receiving
-// host) order — BOTH runners feed their series through it, because the
-// time-series bucket sums are floating-point and therefore
-// order-sensitive: same-instant samples at different hosts arrive in
-// engine delivery order on a single engine but are logged per shard
-// when sharded, so a canonical replay order is the only way the sums
-// come out bit-identical. Two samples can never tie on (time, host):
-// a host's last hop is one FIFO port, which separates its deliveries
-// in time.
-func replaySampleRecs(sc *Scenario, res *Result, recs []sampleRec, endTime units.Time) {
 	sort.SliceStable(recs, func(a, b int) bool {
 		if recs[a].ps.At != recs[b].ps.At {
 			return recs[a].ps.At < recs[b].ps.At
@@ -936,8 +1082,8 @@ func replaySampleRecs(sc *Scenario, res *Result, recs []sampleRec, endTime units
 
 // replayGoodput merges the per-shard goodput tick logs — ordered by
 // tick time, then the flows' global open order within a tick, which
-// is the single-engine sampler's iteration order — and applies the
-// final flush at EndTime.
+// is a one-shard sampler's iteration order — and applies the final
+// flush at EndTime (completion can land between ticks).
 func replayGoodput(sc *Scenario, res *Result, shards []*shardState, opens []openRec, endTime units.Time) {
 	if !sc.CollectTimeSeries {
 		return

@@ -351,12 +351,6 @@ func TestShardedRejections(t *testing.T) {
 	if _, err := Run(rep); err == nil {
 		t.Fatal("Replication under Shards > 1 did not error")
 	}
-	src := base
-	src.Flows = nil
-	src.FlowSource = workload.NewSliceSource(randomFlows(1, 8, 4))
-	if _, err := Run(src); err == nil {
-		t.Fatal("one-shot FlowSource under Shards > 1 did not error")
-	}
 }
 
 // TestShardedClampFallsBack checks that a shard count above the

@@ -308,8 +308,8 @@ type Run struct {
 	// Shards > 1 partitions the topology spatially and runs one shard
 	// per goroutine with deterministic cross-shard handoff; results are
 	// byte-identical at any shard count. Clamped to the topology's
-	// parallelism (leaf groups / pods); 0 or 1 runs the single-engine
-	// path.
+	// parallelism (leaf groups / pods); 0 or 1 runs one shard on the
+	// calling goroutine.
 	Shards int `json:"shards,omitempty"`
 }
 

@@ -6,6 +6,7 @@ import (
 	"tlb/internal/eventsim"
 	"tlb/internal/lb"
 	"tlb/internal/netem"
+	"tlb/internal/units"
 )
 
 // Network is the interface the experiment runner drives traffic
@@ -27,6 +28,38 @@ type Network interface {
 	// run's packet pool (a switch observing Port.Send refuse a packet
 	// is that packet's terminal sink). Nil disables releasing.
 	SetPool(pool *netem.PacketPool)
+
+	// The rest partitions the network for the runner's shards (see
+	// shard.go); an unsharded run is the one-shard partition.
+
+	// MinFabricDelay returns the minimum propagation delay over every
+	// link a partition can ever cut (see shard.go).
+	MinFabricDelay() units.Time
+	// NewPartition returns the partition for the requested shard count,
+	// clamped to the topology's parallelism (a 2-leaf fabric cannot use
+	// more than 2 shards). Deterministic: depends only on the config.
+	NewPartition(shards int) *Partition
+	// HostOwner returns the shard owning a host (and its NIC and
+	// transport endpoint).
+	HostOwner(p *Partition, host int) int
+	// ShardBind wires shard self's copy of the network: every boundary
+	// egress port owned by self gets a capture that emits a Handoff
+	// (and a local sink returning the original packet to this shard's
+	// pool). It returns the minimum propagation delay over ALL boundary
+	// links of the partition — the conservative lookahead — or 0 when
+	// the partition has no boundary (single shard).
+	ShardBind(p *Partition, self int, emit func(Handoff)) units.Time
+	// ApplyHandoff materializes a handoff from this shard's pool and
+	// dispatches it into the ingress switch. Must run on this shard's
+	// event loop at h.DeliverAt.
+	ApplyHandoff(h *Handoff)
+	// BalancedPortOwners returns the owning shard of each
+	// BalancedPorts() entry, index-aligned, so the runner can harvest
+	// utilization snapshots from exactly one shard per port.
+	BalancedPortOwners(p *Partition) []int
+	// EveryOwnedQueue visits the queues owned by shard self, in the
+	// same relative order EveryQueue visits them.
+	EveryOwnedQueue(p *Partition, self int, fn func(label string, q *netem.Queue))
 }
 
 // Compile-time checks.

@@ -182,52 +182,14 @@ func contiguousOwners(n, shards int) []int {
 	return out
 }
 
-// Sharder is implemented by networks that can be partitioned for the
-// sharded runner. Both substrates implement it.
-type Sharder interface {
-	Network
-	// NewPartition returns the partition for the requested shard count,
-	// clamped to the topology's parallelism (a 2-leaf fabric cannot use
-	// more than 2 shards). Deterministic: depends only on the config.
-	NewPartition(shards int) *Partition
-	// HostOwner returns the shard owning a host (and its NIC and
-	// transport endpoint).
-	HostOwner(p *Partition, host int) int
-	// ShardBind wires shard self's copy of the network: every boundary
-	// egress port owned by self gets a capture that emits a Handoff
-	// (and a local sink returning the original packet to this shard's
-	// pool). It returns the minimum propagation delay over ALL boundary
-	// links of the partition — the conservative lookahead — or 0 when
-	// the partition has no boundary (single shard).
-	ShardBind(p *Partition, self int, emit func(Handoff)) units.Time
-	// ApplyHandoff materializes a handoff from this shard's pool and
-	// dispatches it into the ingress switch. Must run on this shard's
-	// event loop at h.DeliverAt.
-	ApplyHandoff(h *Handoff)
-	// BalancedPortOwners returns the owning shard of each
-	// BalancedPorts() entry, index-aligned, so the runner can harvest
-	// utilization snapshots from exactly one shard per port.
-	BalancedPortOwners(p *Partition) []int
-	// EveryOwnedQueue visits the queues owned by shard self, in the
-	// same relative order EveryQueue visits them.
-	EveryOwnedQueue(p *Partition, self int, fn func(label string, q *netem.Queue))
-}
-
-// Compile-time checks.
-var (
-	_ Sharder = (*Fabric)(nil)
-	_ Sharder = (*FatTree)(nil)
-)
-
 // MinFabricDelay returns the minimum propagation delay over every
 // inter-switch (boundary-capable) link of the network — the set a
 // partition can ever cut, independent of any particular partition or
-// shard count. The sharded runner derives the flow-teardown lag from
-// it (see internal/sim): teardown must travel at finite latency like
-// any other cross-shard influence, and the lag has to be a pure
-// function of the topology so the single-engine run schedules the
-// identical close events. Host links never cross a shard and are
-// excluded.
+// shard count. The runner derives the flow-teardown lag from it (see
+// internal/sim): teardown must travel at finite latency like any other
+// cross-shard influence, and the lag has to be a pure function of the
+// topology so every shard count schedules the identical close events.
+// Host links never cross a shard and are excluded.
 func (f *Fabric) MinFabricDelay() units.Time {
 	var min units.Time
 	found := false
@@ -279,7 +241,7 @@ func (f *FatTree) MinFabricDelay() units.Time {
 
 // ---- leaf-spine ----
 
-// NewPartition implements Sharder: contiguous leaf groups and
+// NewPartition implements Network: contiguous leaf groups and
 // contiguous spine groups.
 func (f *Fabric) NewPartition(shards int) *Partition {
 	if shards > f.cfg.Leaves {
@@ -295,7 +257,7 @@ func (f *Fabric) NewPartition(shards int) *Partition {
 	}
 }
 
-// HostOwner implements Sharder.
+// HostOwner implements Network.
 func (f *Fabric) HostOwner(p *Partition, host int) int {
 	return p.groupOwner[host/f.cfg.HostsPerLeaf]
 }
@@ -309,7 +271,7 @@ func (f *Fabric) LinkOwners(p *Partition, leaf, spine int) (upOwner, downOwner i
 	return p.groupOwner[leaf], p.topOwner[spine]
 }
 
-// ShardBind implements Sharder.
+// ShardBind implements Network.
 func (f *Fabric) ShardBind(p *Partition, self int, emit func(Handoff)) units.Time {
 	var la units.Time
 	found := false
@@ -358,7 +320,7 @@ func (f *Fabric) bindBoundary(port *netem.Port, dstShard, entry int32, up bool, 
 	}, func(pkt *netem.Packet) { f.pool.Put(pkt) })
 }
 
-// ApplyHandoff implements Sharder.
+// ApplyHandoff implements Network.
 func (f *Fabric) ApplyHandoff(h *Handoff) {
 	p := f.pool.Get()
 	*p = h.Pkt
@@ -369,7 +331,7 @@ func (f *Fabric) ApplyHandoff(h *Handoff) {
 	}
 }
 
-// BalancedPortOwners implements Sharder: BalancedPorts is all leaf
+// BalancedPortOwners implements Network: BalancedPorts is all leaf
 // uplinks in leaf order, each owned by its leaf's shard.
 func (f *Fabric) BalancedPortOwners(p *Partition) []int {
 	out := make([]int, 0, f.cfg.Leaves*f.cfg.Spines)
@@ -381,7 +343,7 @@ func (f *Fabric) BalancedPortOwners(p *Partition) []int {
 	return out
 }
 
-// EveryOwnedQueue implements Sharder, mirroring EveryQueue's order
+// EveryOwnedQueue implements Network, mirroring EveryQueue's order
 // with an ownership filter: host NICs and leaf ports belong to the
 // leaf's shard, spine downlinks to the spine's.
 func (f *Fabric) EveryOwnedQueue(p *Partition, self int, fn func(label string, q *netem.Queue)) {
@@ -413,7 +375,7 @@ func (f *Fabric) EveryOwnedQueue(p *Partition, self int, fn func(label string, q
 
 // ---- fat-tree ----
 
-// NewPartition implements Sharder: contiguous pod groups and
+// NewPartition implements Network: contiguous pod groups and
 // contiguous core groups.
 func (f *FatTree) NewPartition(shards int) *Partition {
 	if shards > f.cfg.K {
@@ -430,12 +392,12 @@ func (f *FatTree) NewPartition(shards int) *Partition {
 	}
 }
 
-// HostOwner implements Sharder.
+// HostOwner implements Network.
 func (f *FatTree) HostOwner(p *Partition, host int) int {
 	return p.groupOwner[f.podOf(host)]
 }
 
-// ShardBind implements Sharder. The only possible boundaries are
+// ShardBind implements Network. The only possible boundaries are
 // agg<->core links (edge and agg tiers are intra-pod).
 func (f *FatTree) ShardBind(p *Partition, self int, emit func(Handoff)) units.Time {
 	var la units.Time
@@ -492,7 +454,7 @@ func (f *FatTree) bindBoundary(port *netem.Port, dstShard, entry int32, up bool,
 	}, func(pkt *netem.Packet) { f.pool.Put(pkt) })
 }
 
-// ApplyHandoff implements Sharder.
+// ApplyHandoff implements Network.
 func (f *FatTree) ApplyHandoff(h *Handoff) {
 	p := f.pool.Get()
 	*p = h.Pkt
@@ -503,7 +465,7 @@ func (f *FatTree) ApplyHandoff(h *Handoff) {
 	}
 }
 
-// BalancedPortOwners implements Sharder: BalancedPorts is every edge
+// BalancedPortOwners implements Network: BalancedPorts is every edge
 // uplink (edge order) then every agg uplink (agg order); all are
 // intra-pod ports owned by their pod's shard.
 func (f *FatTree) BalancedPortOwners(p *Partition) []int {
@@ -522,7 +484,7 @@ func (f *FatTree) BalancedPortOwners(p *Partition) []int {
 	return out
 }
 
-// EveryOwnedQueue implements Sharder, mirroring EveryQueue's order
+// EveryOwnedQueue implements Network, mirroring EveryQueue's order
 // with an ownership filter: everything inside a pod belongs to the
 // pod's shard, core downlinks to the core's.
 func (f *FatTree) EveryOwnedQueue(p *Partition, self int, fn func(label string, q *netem.Queue)) {
